@@ -133,8 +133,9 @@ class SparseStats:
         cache_misses: Cluster-cache misses.
         blossom_clusters: Cache misses that exceeded the exhaustive-search
             node limit and ran the blossom solver.
-        nodes_settled: Graph vertices settled during region growth
-            (graph engine only).
+        nodes_settled: Graph vertices settled by the region-growth
+            Dijkstra runs actually performed, i.e. growth-row cache
+            misses (graph engine only; a warm engine adds none).
         collisions: Region collisions that merged clusters during growth
             (graph engine only).
     """
@@ -748,9 +749,9 @@ class SparseMatchingEngine:
         Same-size clusters share one :func:`batched_search` call (their
         matching problems are built with one GWT gather and their local ->
         detector translation is vectorized, mirroring the Astrea batch
-        pipeline); clusters too large for the index tensors share one
-        graph-engine Dijkstra sweep (:meth:`SparseBlossomEngine.solve_many`)
-        or, without a graph engine, run :meth:`_compute_cluster`'s blossom
+        pipeline); clusters too large for the index tensors go to the graph
+        engine in one :meth:`SparseBlossomEngine.solve_many` call or,
+        without a graph engine, run :meth:`_compute_cluster`'s blossom
         path individually.  Results are element-wise identical to
         :meth:`_compute_cluster`.
         """
@@ -762,8 +763,6 @@ class SparseMatchingEngine:
         for size, indices in by_size.items():
             if size + (size % 2) > MAX_SEARCH_NODES:
                 if self.graph_engine is not None:
-                    # Collected so the graph engine can amortize one
-                    # Dijkstra sweep across all routed clusters.
                     oversized.extend(indices)
                 else:
                     for index in indices:

@@ -5,8 +5,8 @@ pairwise defect weight from a precomputed all-pairs table -- O(N^2) memory
 and an O(N^2 log N) build that makes d >= 15 experiments infeasible.  This
 module provides the alternative Sparse Blossom (Higgott & Gidney 2023)
 made practical: pairwise defect weights are *discovered during growth* on
-the primitive decoding-graph adjacency, so nothing quadratic in the
-detector count is ever materialised.
+the primitive decoding-graph adjacency, so no all-pairs table is ever
+built and what growth is kept stays under a fixed byte budget.
 
 The engine is exact, boundary matching included, via three steps:
 
@@ -15,22 +15,27 @@ The engine is exact, boundary matching included, via three steps:
    parity -- the diagonal of the Global Weight Table, computed in
    O(E log V) total instead of per-pair.
 
-2. **Region growth.**  Each defect ``i`` grows a shortest-path region out
-   to radius ``2 * max(r)``: one bounded multi-source Dijkstra over the
-   boundary-free adjacency (the through-boundary route is folded
-   analytically, never traversed).  Two defects whose regions reach each
-   other -- ``d(i, j) <= r_i + r_j``, i.e. matching them directly can
-   beat (or tie) routing both to the boundary -- merge into one cluster;
-   defects in different clusters are provably separable, so per-cluster
-   optima compose into a global optimum by the same exchange argument the
-   table engine uses.
+2. **Region growth.**  Every detector's shortest-path region is a
+   function of the detector alone, so it is grown once: one bounded
+   Dijkstra over the boundary-free adjacency (the through-boundary route
+   is folded analytically, never traversed) out to the syndrome-free
+   budget ``r_i + max(r) + tolerance``, which covers the pair cap
+   ``r_i + r_j`` against every detector ``j``.  The resulting *growth
+   row* -- distances plus the logical parity of every shortest path,
+   derived once from the predecessor tree -- is kept in a byte-bounded
+   LRU (:data:`ROW_CACHE_BYTES`), filled lazily on first use.  Two
+   defects whose regions reach each other -- ``d(i, j) <= r_i + r_j``,
+   i.e. matching them directly can beat (or tie) routing both to the
+   boundary -- merge into one cluster; defects in different clusters are
+   provably separable, so per-cluster optima compose into a global
+   optimum by the same exchange argument the table engine uses.
 
 3. **Cluster solving.**  Within a cluster, exact pair weights are the
    grown distances with the boundary fold applied analytically:
    ``W[i, j] = min(d(i, j), r_i + r_j)``, with the matched path's logical
-   parity recovered from the Dijkstra predecessor tree.  The resulting
-   local matching problem -- identical in form to the table engine's --
-   runs through the same exhaustive-search kernels (clusters of up to
+   parity read from the growth row.  The resulting local matching
+   problem -- identical in form to the table engine's -- runs through
+   the same exhaustive-search kernels (clusters of up to
    :data:`~repro.matching.search.MAX_SEARCH_NODES` nodes, preserving the
    scalar tie-breaking order) or the blossom solver, and solutions are
    memoized in the same canonical-key LRU.
@@ -40,7 +45,8 @@ phase only *partitions* defects, and the (small) per-cluster matching is
 delegated to the exact kernels, which is where odd cycles are resolved.
 This trades the O(1)-amortised region bookkeeping of full Sparse Blossom
 for a much simpler invariant, while keeping its defining properties:
-graph-local discovery, O(E) memory, no all-pairs table.
+graph-local discovery, no all-pairs table, O(E) construction; the row
+cache holds at most :data:`ROW_CACHE_BYTES` of growth.
 
 Tie-breaking contract: weights are compared with an absolute
 ``tolerance`` (1e-9 by default, absorbing float shortest-path round-off,
@@ -74,7 +80,13 @@ from .sparse import (
     _components_local,
 )
 
-__all__ = ["SparseBlossomEngine"]
+__all__ = ["ROW_CACHE_BYTES", "SparseBlossomEngine"]
+
+#: Byte budget of one engine's growth-row cache.  A row costs 9 bytes per
+#: detector (float64 distance + bool parity), so a graph of ``n``
+#: detectors keeps ``min(n, ROW_CACHE_BYTES // (9 * n))`` rows: d = 15
+#: (1,792 detectors, ~29 MB) fits whole, larger graphs evict by LRU.
+ROW_CACHE_BYTES = 32 * 2**20
 
 #: Widest cluster the flat enumeration kernel handles ((m - 1)!! = 10395
 #: candidate matchings at 12 nodes -- the sweet spot where one fancy
@@ -144,7 +156,8 @@ class SparseBlossomEngine:
             and boundary folding (ties within the tolerance are merged,
             never separated).
         cache_size: Maximum number of memoized cluster solutions (LRU
-            eviction; 0 disables caching).
+            eviction; 0 disables caching).  Growth rows are cached
+            separately, bounded by :data:`ROW_CACHE_BYTES`.
     """
 
     def __init__(
@@ -168,17 +181,24 @@ class SparseBlossomEngine:
         self._csgraph = csr_matrix(
             (weights[keep], (src[keep], indices[keep])), shape=(n, n)
         )
-        # Parity of the (canonical, cheapest) edge between two detectors,
-        # for predecessor-tree walks.
-        self._edge_parity = {
-            (int(u), int(v)): bool(p)
-            for u, v, p in zip(src[keep], indices[keep], parities[keep])
-        }
+        # Sorted keys ``u * n + v`` of the edges that flip the logical
+        # observable (the adjacency is row-major and sorted within rows),
+        # closed by a sentinel so every lookup lands on a valid slot.
+        self._flip_keys = np.append(
+            (src * n + indices)[keep & parities], np.iinfo(np.int64).max
+        )
         radii, boundary_parities = graph.boundary_distances()
         self._radii = radii
         self._bparity = boundary_parities
         self._radii_finite = bool(np.isfinite(radii).all())
+        # Detector i grows to r_i + max(r) + tolerance, which covers its
+        # pair cap r_i + r_j against every j: one row per detector serves
+        # every syndrome.
+        self._reach = float(radii.max(initial=0.0)) + self.tolerance
+        self._row_capacity = min(n, ROW_CACHE_BYTES // max(9 * n, 1))
         self._cache: OrderedDict[bytes, _ClusterSolution] = OrderedDict()
+        # Growth-row cache, allocated on first use (see _pair_rows).
+        self._row_dist: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -207,93 +227,14 @@ class SparseBlossomEngine:
             self.stats.clusters += 1
             solution = self._singleton(int(dets[0]))
             return list(solution.pairs), solution.weight, solution.prediction
+        # The cached growth rows cover both the cluster criterion
+        # (d <= r_i + r_j) and every in-cluster pair weight and parity.
+        pairwise, parity = self._pair_rows(dets)
         radii = self._radii[dets]
-        # One bounded multi-source Dijkstra covers both the cluster
-        # criterion (d <= r_i + r_j) and every in-cluster pair weight.
-        limit = 2.0 * float(radii.max()) + self.tolerance
-        dist, pred = dijkstra(
-            self._csgraph,
-            directed=True,
-            indices=dets,
-            return_predecessors=True,
-            limit=limit,
-        )
-        return self._match_from_growth(dets, radii, dist, pred, limit)
-
-    def solve_many(
-        self, clusters: list[np.ndarray]
-    ) -> list[tuple[list[tuple[int, int]], float, bool]]:
-        """Solve many independent syndromes with one shared Dijkstra sweep.
-
-        Results and statistics are identical to calling :meth:`solve` on
-        each entry (per-source Dijkstra runs are independent, and each
-        entry's settled-node accounting is re-restricted to its own
-        growth budget), but the single multi-source scipy call amortizes
-        per-call overhead when the table engine routes a whole batch of
-        oversized clusters at once.
-        """
-        grown: list[tuple[int, np.ndarray, np.ndarray, float]] = []
-        results: list[tuple[list[tuple[int, int]], float, bool] | None] = [
-            None
-        ] * len(clusters)
-        for i, active in enumerate(clusters):
-            dets = np.sort(np.asarray(active, dtype=np.intp))
-            if dets.size == 0:
-                results[i] = ([], 0.0, False)
-                continue
-            self._check_solvable(dets)
-            self.stats.syndromes += 1
-            if dets.size == 1:
-                self.stats.clusters += 1
-                solution = self._singleton(int(dets[0]))
-                results[i] = (
-                    list(solution.pairs),
-                    solution.weight,
-                    solution.prediction,
-                )
-                continue
-            radii = self._radii[dets]
-            limit = 2.0 * float(radii.max()) + self.tolerance
-            grown.append((i, dets, radii, limit))
-        if grown:
-            dist, pred = dijkstra(
-                self._csgraph,
-                directed=True,
-                indices=np.concatenate([dets for _, dets, _, _ in grown]),
-                return_predecessors=True,
-                limit=max(limit for _, _, _, limit in grown),
-            )
-            offset = 0
-            for i, dets, radii, limit in grown:
-                stop = offset + dets.size
-                results[i] = self._match_from_growth(
-                    dets, radii, dist[offset:stop], pred[offset:stop], limit
-                )
-                offset = stop
-        return results
-
-    def _match_from_growth(
-        self,
-        dets: np.ndarray,
-        radii: np.ndarray,
-        dist: np.ndarray,
-        pred: np.ndarray,
-        limit: float,
-    ) -> tuple[list[tuple[int, int]], float, bool]:
-        """Cluster criterion, decomposition and solving after growth.
-
-        ``dist``/``pred`` rows may come from a Dijkstra run with a larger
-        budget than this syndrome's own ``limit`` (the :meth:`solve_many`
-        sweep); entries beyond ``limit`` exceed every pair cap of this
-        syndrome, so criterion, weights and parities are unaffected and
-        only the settled-node counter needs the explicit re-restriction.
-        """
-        pairwise = dist[:, dets]
         caps = radii[:, None] + radii[None, :]
         close = pairwise <= caps + self.tolerance
         np.fill_diagonal(close, False)
         components = _components_local(close)
-        self.stats.nodes_settled += int((dist <= limit).sum())
         self.stats.collisions += dets.size - len(components)
         pairs: list[tuple[int, int]] = []
         weight = 0.0
@@ -304,35 +245,48 @@ class SparseBlossomEngine:
                 solution = self._singleton(int(dets[member_positions[0]]))
             else:
                 solution = self._memoized(
-                    dets, member_positions, pairwise, caps, dist, pred
+                    dets, member_positions, pairwise, caps, parity
                 )
             pairs.extend(solution.pairs)
             weight += solution.weight
             prediction ^= solution.prediction
         return sorted(pairs), weight, prediction
 
+    def solve_many(
+        self, clusters: list[np.ndarray]
+    ) -> list[tuple[list[tuple[int, int]], float, bool]]:
+        """:meth:`solve` on each of many independent syndromes.
+
+        The table engine routes a whole batch of oversized clusters here
+        at once; growth is shared through the row cache.
+        """
+        return [self.solve(active) for active in clusters]
+
     def solve_batch(
         self, syndromes: np.ndarray
     ) -> list[tuple[list[tuple[int, int]], float, bool]]:
         """Row-wise :meth:`solve` of a (shots, detectors) matrix.
 
-        Growth is inherently per-syndrome; the batch entry point exists
+        Growth is per-detector and cached; the batch entry point exists
         for API parity with the table engine and extracts all active
-        indices with one ``np.nonzero``.  Cluster memoization is what
-        makes bulk decoding fast here.  Device arrays from the active
+        indices with one ``np.nonzero``.  Device arrays from the active
         array backend are accepted (the seam crossing happens here).
         """
         syndromes = np.asarray(from_device(syndromes)).astype(bool, copy=False)
         if syndromes.ndim != 2:
             raise ValueError("solve_batch expects a (shots, detectors) matrix")
         num = syndromes.shape[0]
+        if num == 0:
+            return []
         rows, cols = np.nonzero(syndromes)
         splits = np.searchsorted(rows, np.arange(1, num))
         return [self.solve(chunk) for chunk in np.split(cols, splits)]
 
     def clear_cache(self) -> None:
-        """Drop all memoized cluster solutions (stats are kept)."""
+        """Drop all memoized cluster solutions and growth rows (stats are
+        kept)."""
         self._cache.clear()
+        self._row_dist = None
 
     # ------------------------------------------------------------------
     # Validation
@@ -367,6 +321,97 @@ class SparseBlossomEngine:
             )
 
     # ------------------------------------------------------------------
+    # Growth rows
+    # ------------------------------------------------------------------
+
+    def _grow(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Growth rows of ``sources``: bounded distances and path parities.
+
+        Each row is its own bounded Dijkstra from its source alone, to
+        the source's budget ``r_i + max(r) + tolerance``, so a row never
+        depends on the syndrome that grew it.  Path parities come from
+        the predecessor trees by pointer jumping: a node's parity is its
+        tree edge's flip XOR its predecessor's, and each vectorized pass
+        doubles the resolved path length, so O(log depth) passes over all
+        rows at once replace a walk per pair.
+        """
+        n = self._num_detectors
+        dist = np.empty((sources.size, n), dtype=np.float64)
+        pred = np.empty((sources.size, n), dtype=np.intp)
+        for row, source in enumerate(sources.tolist()):
+            dist[row], pred[row] = dijkstra(
+                self._csgraph,
+                directed=True,
+                indices=source,
+                return_predecessors=True,
+                limit=float(self._radii[source]) + self._reach,
+            )
+        self.stats.nodes_settled += int(np.isfinite(dist).sum())
+        # Flat indices: tree edges u -> v of every row, each with its flip;
+        # sources and unreached nodes anchor to themselves with parity 0.
+        child = np.flatnonzero(pred >= 0)
+        col = child % n
+        parent = pred.ravel()[child]
+        keys = parent * n + col
+        parity = np.zeros(dist.size, dtype=bool)
+        parity[child] = (
+            self._flip_keys[np.searchsorted(self._flip_keys, keys)] == keys
+        )
+        anchor = np.arange(dist.size)
+        anchor[child] = child - col + parent
+        while True:
+            jumped = anchor[anchor]
+            if np.array_equal(jumped, anchor):
+                return dist, parity.reshape(dist.shape)
+            parity ^= parity[anchor]
+            anchor = jumped
+
+    def _pair_rows(self, dets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grown distances and path parities among the distinct ``dets``.
+
+        Entry ``[a, b]`` is read from ``dets[a]``'s growth row.  Rows are
+        served from the LRU cache and only missing ones are grown; a
+        syndrome wider than the whole cache is grown uncached.
+        """
+        if dets.size > self._row_capacity:
+            dist, parity = self._grow(dets)
+            return dist[:, dets], parity[:, dets]
+        if self._row_dist is None:
+            shape = (self._row_capacity, self._num_detectors)
+            self._row_dist = np.empty(shape, dtype=np.float64)
+            self._row_parity = np.empty(shape, dtype=bool)
+            self._row_owner = np.empty(self._row_capacity, dtype=np.intp)
+            self._row_used = np.empty(self._row_capacity, dtype=np.int64)
+            self._row_slot = np.full(self._num_detectors, -1, dtype=np.intp)
+            self._rows_held = 0
+            self._row_tick = 0
+        # Marking this syndrome's rows most recently used first means
+        # inserting its missing rows never evicts one of its own.
+        self._row_tick += 1
+        slots = self._row_slot[dets]
+        self._row_used[slots[slots >= 0]] = self._row_tick
+        missing = dets[slots < 0]
+        if missing.size:
+            dist, parity = self._grow(missing)
+            take = min(self._row_capacity - self._rows_held, missing.size)
+            new = np.arange(self._rows_held, self._rows_held + take)
+            self._rows_held += take
+            self._row_used[new] = self._row_tick
+            evict = missing.size - take
+            if evict:
+                old = np.argpartition(self._row_used, evict - 1)[:evict]
+                self._row_slot[self._row_owner[old]] = -1
+                self._row_used[old] = self._row_tick
+                new = np.concatenate([new, old])
+            self._row_slot[missing] = new
+            self._row_owner[new] = missing
+            self._row_dist[new] = dist
+            self._row_parity[new] = parity
+            slots = self._row_slot[dets]
+        grid = np.ix_(slots, dets)
+        return self._row_dist[grid], self._row_parity[grid]
+
+    # ------------------------------------------------------------------
     # Cluster solving
     # ------------------------------------------------------------------
 
@@ -376,14 +421,13 @@ class SparseBlossomEngine:
         member_positions: list[int],
         pairwise: np.ndarray,
         caps: np.ndarray,
-        dist: np.ndarray,
-        pred: np.ndarray,
+        parity: np.ndarray,
     ) -> _ClusterSolution:
         """LRU-cached cluster solve, keyed by the sorted member bytes.
 
         A cluster's membership depends on the whole syndrome, but its
         *solution* depends only on its members (grown distances, caps and
-        predecessor paths are intrinsic to the member detectors), so
+        path parities are intrinsic to the member detectors), so
         solutions are reusable across syndromes.
         """
         members = dets[np.asarray(member_positions)]
@@ -395,7 +439,7 @@ class SparseBlossomEngine:
             return cached
         self.stats.cache_misses += 1
         solution = self._solve_cluster(
-            members, member_positions, pairwise, caps, dist, pred
+            members, member_positions, pairwise, caps, parity
         )
         if self.cache_size > 0:
             self._cache[key] = solution
@@ -403,25 +447,13 @@ class SparseBlossomEngine:
                 self._cache.popitem(last=False)
         return solution
 
-    def _path_parity(self, pred_row: np.ndarray, src: int, dst: int) -> bool:
-        """Logical parity of the grown shortest path ``src -> dst``."""
-        parity = False
-        v = dst
-        edge_parity = self._edge_parity
-        while v != src:
-            u = int(pred_row[v])
-            parity ^= edge_parity[(u, v)]
-            v = u
-        return parity
-
     def _solve_cluster(
         self,
         members: np.ndarray,
         member_positions: list[int],
         pairwise: np.ndarray,
         caps: np.ndarray,
-        dist: np.ndarray,
-        pred: np.ndarray,
+        parity: np.ndarray,
     ) -> _ClusterSolution:
         """Exact matching of a multi-defect cluster (search or blossom).
 
@@ -435,8 +467,9 @@ class SparseBlossomEngine:
         k = len(member_positions)
         active = [int(d) for d in members]
         pos = np.asarray(member_positions)
-        sub_d = pairwise[np.ix_(pos, pos)]
-        sub_cap = caps[np.ix_(pos, pos)]
+        sub = np.ix_(pos, pos)
+        sub_d = pairwise[sub]
+        sub_cap = caps[sub]
         # min() folds both cases at once: an unreachable (or over-budget)
         # direct route leaves the through-boundary cap, and an exact tie
         # keeps the cap's value while the parity check below still hands
@@ -446,7 +479,8 @@ class SparseBlossomEngine:
         # The a -> b and b -> a growths traverse the same route in
         # opposite orders, which can round differently; mirroring the
         # upper triangle keeps the matrix exactly symmetric with the
-        # smaller position as the defining source.
+        # smaller position as the defining source (whose row also
+        # supplies the path parity).
         upper = np.triu_indices(k, 1)
         lower = (upper[1], upper[0])
         base_w[lower] = base_w[upper]
@@ -471,9 +505,8 @@ class SparseBlossomEngine:
             self.stats.blossom_clusters += 1
             local_pairs = min_weight_perfect_matching(weights)
             weight = float(sum(weights[a, b] for a, b in local_pairs))
-        # Parities are only needed for the ~k/2 chosen pairs, so they are
-        # derived lazily instead of materializing the full (k, k) matrix.
         bparity = self._bparity
+        sub_parity = parity[sub]
         prediction = False
         for a, b in local_pairs:
             if has_virtual and (a == k or b == k):
@@ -481,9 +514,7 @@ class SparseBlossomEngine:
                 continue
             lo, hi = (a, b) if a < b else (b, a)
             if bool(direct_wins[lo, hi]):
-                prediction ^= self._path_parity(
-                    pred[pos[lo]], active[lo], active[hi]
-                )
+                prediction ^= bool(sub_parity[lo, hi])
             else:
                 prediction ^= bool(bparity[active[lo]]) ^ bool(
                     bparity[active[hi]]

@@ -11,7 +11,10 @@ all-pairs weight table.  Here that claim is checked three ways:
 * real surface-code graphs at d = 3 and d = 5 against the dense
   per-syndrome blossom reference through :class:`MWPMDecoder`;
 * the engine's own entry points against each other (``solve`` vs
-  ``solve_many`` vs ``solve_batch``; flat-enumeration kernel vs blossom).
+  ``solve_many`` vs ``solve_batch``; flat-enumeration kernel vs blossom);
+* the growth-row cache: cold, warm and evicting caches solve identically,
+  a row depends on its detector alone, and every cached path parity
+  equals an independent predecessor-tree walk.
 
 On idealized float weights the optimum is generically unique, so weights
 AND predictions must agree; on hand-built degenerate graphs several
@@ -29,7 +32,12 @@ from repro.experiments.setup import DecodingSetup
 from repro.graphs.decoding_graph import BOUNDARY, DecodingGraph
 from repro.graphs.weights import GlobalWeightTable
 from repro.matching.brute_force import min_weight_perfect_matching_dp
-from repro.matching.sparse import SparseEngineError, SparseMatchingEngine
+from repro.matching import sparse_blossom
+from repro.matching.sparse import (
+    SparseEngineError,
+    SparseMatchingEngine,
+    SparseStats,
+)
 from repro.matching.sparse_blossom import SparseBlossomEngine
 from repro.sim.dem import DetectorErrorModel, FaultMechanism
 
@@ -339,8 +347,19 @@ class TestEntryPoints:
         batched = engine.solve_many(cases)
         scalar = [scalar_engine.solve(c) for c in cases]
         assert batched == scalar
-        # Statistics agree too (identical growth accounting).
+        # Statistics agree too: each entry point grows every detector's
+        # row once, on its first miss.
         assert engine.stats.as_dict() == scalar_engine.stats.as_dict()
+        grown = np.unique(np.concatenate([c for c in cases if c.size > 1]))
+        _, grow = _boundary_free_growth(engine)
+        assert engine.stats.nodes_settled == sum(
+            int(np.isfinite(grow(int(d))[0]).sum()) for d in grown
+        )
+        # nodes_settled counts Dijkstra runs actually performed: a warm
+        # pass grows nothing.
+        settled = engine.stats.nodes_settled
+        assert engine.solve_many(cases) == batched
+        assert engine.stats.nodes_settled == settled
 
     def test_solve_batch_equals_scalar_solve(self):
         engine, cases, n = self._engine_and_cases(9, count=30)
@@ -351,6 +370,26 @@ class TestEntryPoints:
         engine.clear_cache()
         scalar = [engine.solve(c) for c in cases]
         assert batch == scalar
+
+    def test_graph_only_decode_batch_empty_rows(self):
+        """Zero rows decode to zero results; empty rows keep their place."""
+        setup = DecodingSetup.build(3, 1e-3)
+        decoder = MWPMDecoder(
+            graph=DecodingGraph.from_dem(setup.dem, all_pairs=False),
+            measure_time=False,
+        )
+        n = setup.dem.num_detectors
+        assert decoder.decode_batch(np.zeros((0, n), dtype=bool)) == []
+        syndromes = np.zeros((4, n), dtype=bool)
+        syndromes[1, [0, 3]] = True
+        syndromes[2, [5]] = True
+        batch = decoder.decode_batch(syndromes)
+        assert len(batch) == len(syndromes)
+        for row, got in zip(syndromes, batch):
+            want = decoder.decode(row)
+            assert got.prediction == want.prediction
+            assert got.weight == want.weight
+            assert got.matching == want.matching
 
     def test_flat_search_agrees_with_dp_oracle(self):
         """The vectorized enumeration kernel is exact on random weights."""
@@ -376,3 +415,168 @@ class TestEntryPoints:
             engine.solve(c)
         assert engine.stats.cache_misses == misses_after_first
         assert engine.stats.cache_hits > 0
+
+
+# ----------------------------------------------------------------------
+# Growth-row cache
+# ----------------------------------------------------------------------
+
+
+def _boundary_free_growth(engine):
+    """Independent growth oracle built from the graph's CSR adjacency.
+
+    Returns the boundary-free adjacency's edge-parity dict and a
+    ``grow(source) -> (dist, pred)`` Dijkstra bounded by the source's
+    budget ``r_source + max(r) + TOL``.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = engine.graph
+    n = graph.num_detectors
+    indptr, indices, weights, parities = graph.csr_adjacency()
+    src = np.repeat(np.arange(n + 1), np.diff(indptr))
+    keep = (src < n) & (indices < n)
+    csgraph = csr_matrix(
+        (weights[keep], (src[keep], indices[keep])), shape=(n, n)
+    )
+    edge_parity = {
+        (int(u), int(v)): bool(p)
+        for u, v, p in zip(src[keep], indices[keep], parities[keep])
+    }
+    radii, _ = graph.boundary_distances()
+
+    def grow(source):
+        return dijkstra(
+            csgraph,
+            directed=True,
+            indices=source,
+            return_predecessors=True,
+            limit=float(radii[source] + radii.max()) + TOL,
+        )
+
+    return edge_parity, grow
+
+
+def _walk_parity(pred_row, edge_parity, src, dst):
+    """Logical parity of the tree path ``src -> dst``, edge by edge."""
+    parity = False
+    v = dst
+    while v != src:
+        u = int(pred_row[v])
+        parity ^= edge_parity[(u, v)]
+        v = u
+    return parity
+
+
+def _cached_row(engine, detector):
+    slot = engine._row_slot[detector]
+    assert slot >= 0, detector
+    return engine._row_dist[slot], engine._row_parity[slot]
+
+
+def _cache_cases():
+    """(graph, syndromes) on real d = 3/5 and tie-prone synthetic graphs."""
+    cases = []
+    for distance in (3, 5):
+        setup = DecodingSetup.build(distance, 1e-3)
+        graph = DecodingGraph.from_dem(setup.dem, all_pairs=False)
+        rng = np.random.default_rng(distance)
+        n = graph.num_detectors
+        syndromes = [
+            rng.choice(n, size=int(rng.integers(0, 13)), replace=False)
+            for _ in range(120)
+        ]
+        cases.append((graph, syndromes))
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        n = int(rng.integers(8, 14))
+        graph = DecodingGraph.from_dem(
+            _random_dem(rng, n, tie_prone=True), all_pairs=False
+        )
+        syndromes = [
+            rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            for _ in range(40)
+        ]
+        cases.append((graph, syndromes))
+    return cases
+
+
+def _growth_free(stats):
+    counters = stats.as_dict()
+    counters.pop("nodes_settled")
+    return counters
+
+
+class TestGrowthRowCache:
+    def test_cold_warm_and_evicting_caches_agree(self, monkeypatch):
+        for graph, syndromes in _cache_cases():
+            cold = SparseBlossomEngine(graph)
+            warm = SparseBlossomEngine(graph)
+            warm._pair_rows(np.arange(graph.num_detectors))
+            assert warm._rows_held == graph.num_detectors
+            warm.stats = SparseStats()
+            # Room for six rows: wider syndromes grow uncached, and
+            # narrower ones keep evicting each other's rows.
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    sparse_blossom,
+                    "ROW_CACHE_BYTES",
+                    6 * 9 * graph.num_detectors,
+                )
+                evicting = SparseBlossomEngine(graph)
+            assert evicting._row_capacity == 6
+            got = {
+                name: [engine.solve(s) for s in syndromes]
+                for name, engine in (
+                    ("cold", cold),
+                    ("warm", warm),
+                    ("evicting", evicting),
+                )
+            }
+            assert got["warm"] == got["cold"]
+            assert got["evicting"] == got["cold"]
+            assert _growth_free(warm.stats) == _growth_free(cold.stats)
+            assert _growth_free(evicting.stats) == _growth_free(cold.stats)
+            assert warm.stats.nodes_settled == 0
+            assert evicting._rows_held == 6
+            assert evicting.stats.nodes_settled > cold.stats.nodes_settled
+
+    def test_row_independent_of_first_missing_syndrome(self):
+        setup = DecodingSetup.build(5, 1e-3)
+        graph = DecodingGraph.from_dem(setup.dem, all_pairs=False)
+        n = graph.num_detectors
+        rng = np.random.default_rng(31)
+        for detector in rng.choice(n, size=10, replace=False):
+            detector = int(detector)
+            rows = []
+            for _ in range(3):
+                others = rng.choice(
+                    np.delete(np.arange(n), detector),
+                    size=int(rng.integers(1, 9)),
+                    replace=False,
+                )
+                engine = SparseBlossomEngine(graph)
+                engine.solve([detector, *others.tolist()])
+                rows.append(_cached_row(engine, detector))
+            dist, parity = rows[0]
+            for other_dist, other_parity in rows[1:]:
+                assert np.array_equal(other_dist, dist)
+                assert np.array_equal(other_parity, parity)
+
+    @pytest.mark.parametrize("distance", [3, 5])
+    def test_parities_equal_predecessor_walk(self, distance):
+        setup = DecodingSetup.build(distance, 1e-3)
+        engine = SparseBlossomEngine(
+            DecodingGraph.from_dem(setup.dem, all_pairs=False)
+        )
+        edge_parity, grow = _boundary_free_growth(engine)
+        n = engine.graph.num_detectors
+        rows_dist, rows_parity = engine._grow(np.arange(n))
+        for source in range(n):
+            dist, pred = grow(source)
+            assert np.array_equal(rows_dist[source], dist)
+            for target in np.flatnonzero(np.isfinite(dist)):
+                assert rows_parity[source, target] == _walk_parity(
+                    pred, edge_parity, source, int(target)
+                ), (source, int(target))
