@@ -48,7 +48,7 @@ def fmt(value: float) -> str:
     return f"{value:.2e}"
 
 
-def build_decoder(name: str, setup, options=None, **kwargs):
+def build_decoder(name: str, setup, **kwargs):
     """Build a registry decoder for a benchmark.
 
     Thin alias of :func:`repro.decoders.registry.make_decoder` so every
@@ -59,11 +59,8 @@ def build_decoder(name: str, setup, options=None, **kwargs):
     Args:
         name: Registered decoder name.
         setup: The decoding stack to attach to.
-        options: Registry option dict, passed through verbatim (the shape
-            sweep configs and routing tables carry); keyword arguments
-            override colliding keys.
+        **kwargs: Registry options of the decoder.
     """
     from repro.decoders.registry import make_decoder
 
-    merged = {**(options or {}), **kwargs}
-    return make_decoder(name, setup, **merged)
+    return make_decoder(name, setup, **kwargs)

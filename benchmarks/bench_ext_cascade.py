@@ -1,10 +1,9 @@
-"""Extension bench: SLO-aware decoder cascade vs always-terminal MWPM.
+"""Extension bench: decoder cascade vs always-terminal MWPM.
 
-The :class:`repro.decoders.cascade.CascadeDecoder` routes each syndrome
-through an ordered tier ladder by cheap features (Hamming weight,
-structural cluster locality): a vectorized closed-form front tier
-absorbs the low-weight bulk of the census, the residual escalates to
-the sparse cluster engine, and the engine's own anomaly path escalates
+The :class:`repro.decoders.cascade.CascadeDecoder` runs each syndrome
+through an ordered tier ladder: a vectorized closed-form front tier
+absorbs the structurally local bulk of the census, the residual
+escalates to the sparse cluster engine, and the engine's own anomaly path escalates
 to the terminal rung of the ladder -- the dense exact-MWPM reference
 tier (``EscalationPolicy(next_tier="dense")``).  Because every rung is
 exact on the rows it accepts, the cascade is bit-identical to running
@@ -12,11 +11,11 @@ the terminal tier on every row -- the speedup is free of accuracy loss
 by construction, and this bench asserts exactly that on every sampled
 row at every trial scale.
 
-The bench tunes a routing table from a census
-(:func:`repro.decoders.cascade.cascade_tune`, the ``cascade-tune`` CLI's
-engine), decodes identical sampled batches at d in {5, 7}, p = 1e-3
-through three configurations -- the full cascade, the sparse mid tier
-alone, and the always-terminal dense tier -- and writes a JSON record to
+The bench builds the cascade exactly as the end-to-end benchmark does
+(``make_decoder("cascade", setup)``), decodes identical sampled batches
+at d in {5, 7}, p = 1e-3 through three configurations -- the full
+cascade, the sparse mid tier alone, and the always-terminal dense tier
+-- and writes a JSON record to
 ``benchmarks/results/ext_cascade_d<d>.json``.  The perf gate is >= 2x
 cascade-over-always-terminal mean decode throughput at d = 7 (asserted
 only at full trial scale, where timing noise is negligible) with zero
@@ -32,7 +31,6 @@ import time
 
 import pytest
 
-from repro.decoders.cascade import cascade_tune
 from repro.decoders.mwpm import MWPMDecoder
 from repro.experiments.setup import DecodingSetup
 from repro.sim.pauli_frame import PauliFrameSimulator
@@ -63,10 +61,7 @@ def test_ext_cascade(distance, benchmark):
     sim = PauliFrameSimulator(setup.experiment.circuit, seed=seed(90 + distance))
     detectors = sim.sample(shots).detectors
 
-    table = cascade_tune(
-        setup, shots=min(shots, trials(10_000)), seed=seed(190 + distance)
-    )
-    cascade = build_decoder("cascade", setup, options={"routing_table": table})
+    cascade = build_decoder("cascade", setup)
     sparse_mid = build_decoder("mwpm", setup)
     # The ladder's terminal rung on every row: the dense exact-MWPM
     # reference path, i.e. what the sparse engine's anomaly escalation
@@ -103,7 +98,6 @@ def test_ext_cascade(distance, benchmark):
         "distance": distance,
         "p": P,
         "shots": shots,
-        "routing_table": table.as_dict(),
         "prediction_mismatches": mismatches,
         "cascade_local_fraction": local_fraction,
         "cascade_escalation_rate": cascade.escalation_rate,
@@ -138,9 +132,6 @@ def test_ext_cascade(distance, benchmark):
 
     lines = [
         f"d={distance}, p={P}, shots={shots}",
-        f"routing table       : max local weight "
-        f"{table.max_local_weight}, tuned local fraction "
-        f"{table.local_fraction:.4f}",
         f"always terminal     : "
         f"{throughput['always_terminal']:12.0f} shots/s",
         f"sparse mid tier     : {throughput['sparse_mid']:12.0f} shots/s",

@@ -33,6 +33,7 @@ import time
 from repro.experiments.parallel import run_memory_experiment_parallel
 from repro.experiments.resilient import run_memory_experiment_resilient
 from repro.experiments.setup import DecodingSetup
+from repro.service import RetryPolicy
 from repro.testing.faults import FaultInjector
 
 from _util import RESULTS_DIR, build_decoder, emit, seed, trials
@@ -152,7 +153,8 @@ def test_ext_resilience(tmp_path):
     recovered, t_fault = _timed(
         lambda: run_memory_experiment_resilient(
             setup.experiment, fresh_decoder(), shots,
-            fault_injector=injector, chunk_timeout=2.0, **kwargs,
+            fault_injector=injector, policy=RetryPolicy(timeout=2.0),
+            **kwargs,
         )
     )
     assert recovered.result == baseline

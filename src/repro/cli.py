@@ -13,7 +13,6 @@ module reproduces that workflow with named subcommands::
                               --checkpoint-dir runs/d5 --resume
     python -m repro bandwidth --distance 9 --p 1.5e-3 --budget-min 500
     python -m repro stratified --distance 7 --p 1e-4 --trials 1000
-    python -m repro cascade-tune --distance 5 --p 2e-3 --shots 20000
 
 Every command prints human-readable rows and, with ``--output FILE``,
 appends machine-readable lines to a file (the artifact's convention).
@@ -175,7 +174,7 @@ def cmd_ler(args: argparse.Namespace) -> int:
         f"latency mean/max   : {result.mean_latency_ns:.1f}/"
         f"{result.max_latency_ns:.0f} ns",
     ]
-    fallbacks = int(getattr(decoder, "fallback_events", 0) or 0)
+    fallbacks = decoder.fallback_events
     if fallbacks:
         stats = getattr(decoder, "sparse_stats", None)
         breakdown = (
@@ -373,63 +372,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.as_dict(), handle, indent=2)
     return 0 if report.reference_mismatches == 0 else 1
-
-
-def cmd_cascade_tune(args: argparse.Namespace) -> int:
-    """Fit cascade routing thresholds from a sampled syndrome census."""
-    from .decoders.cascade import cascade_tune, load_or_tune_routing_table
-    from .pipeline import artifact_store_for, default_artifact_store
-
-    setup = DecodingSetup.build(
-        args.distance, args.p, store_root=args.artifact_dir
-    )
-    store = (
-        artifact_store_for(args.artifact_dir)
-        if args.artifact_dir
-        else default_artifact_store()
-    )
-    if store is None or args.no_cache:
-        table = cascade_tune(
-            setup,
-            shots=args.shots,
-            seed=args.seed,
-            min_accept=args.min_accept,
-        )
-        cached = "uncached (no artifact store configured)"
-        if store is not None:
-            store.save(setup.fingerprint, "routing_table", table)
-            cached = f"re-tuned, saved to {store.root}"
-    else:
-        before = store.disk_hits
-        table = load_or_tune_routing_table(
-            setup,
-            store,
-            shots=args.shots,
-            seed=args.seed,
-            min_accept=args.min_accept,
-        )
-        cached = (
-            f"loaded from {store.root}"
-            if store.disk_hits > before
-            else f"tuned, saved to {store.root}"
-        )
-    human = [
-        f"d={args.distance} p={args.p} shots={args.shots} seed={args.seed}",
-        f"routing table        : {cached}",
-        f"max local weight     : {table.max_local_weight}",
-        f"local fraction       : {table.local_fraction:.4f}",
-        f"escalation rate      : {table.escalation_rate:.4f}",
-        "per-weight acceptance:",
-    ]
-    for weight, fraction in zip(table.accept_weights, table.accept_fractions):
-        human.append(f"  HW {weight:3d}: {fraction:.4f}")
-    machine = [
-        f"{args.distance} {args.p} {args.shots} {args.seed} "
-        f"{table.max_local_weight} {table.local_fraction:.6f} "
-        f"{table.escalation_rate:.6f}"
-    ]
-    _emit(args, human, machine)
-    return 0
 
 
 def cmd_latency(args: argparse.Namespace) -> int:
@@ -777,28 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--json", help="write the full load report as JSON here"
-    )
-    tune = register(
-        "cascade-tune",
-        cmd_cascade_tune,
-        "fit cascade routing thresholds from a syndrome census",
-        shots=20_000,
-    )
-    tune.add_argument(
-        "--min-accept",
-        type=float,
-        default=0.05,
-        help="minimum per-weight acceptance fraction kept on the front tier",
-    )
-    tune.add_argument(
-        "--artifact-dir",
-        help="artifact-store root the routing table is cached in "
-        "(default: $REPRO_ARTIFACT_DIR when set)",
-    )
-    tune.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always re-tune, overwriting any cached routing table",
     )
     register("latency", cmd_latency, "real-time latency profile (Figure 9)")
     bandwidth = register(

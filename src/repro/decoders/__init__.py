@@ -12,13 +12,10 @@ from .cascade import (
     DecoderTier,
     EscalationPolicy,
     PredecodeTier,
-    RoutingTable,
     TierLadder,
     TierOutcome,
     TierStats,
     TrivialTier,
-    cascade_tune,
-    load_or_tune_routing_table,
 )
 from .clique import CliqueDecoder
 from .correction import (
@@ -53,7 +50,6 @@ __all__ = [
     "PhysicalCorrection",
     "PipelineSnapshot",
     "PredecodeTier",
-    "RoutingTable",
     "SingleRoundDecoder",
     "SlidingWindowDecoder",
     "TierLadder",
@@ -62,9 +58,7 @@ __all__ = [
     "TrivialTier",
     "UnionFindDecoder",
     "VerificationReport",
-    "cascade_tune",
     "exhaustive_search",
-    "load_or_tune_routing_table",
     "lut_size_bytes",
     "matching_to_correction",
     "primitive_edge_parities",

@@ -184,6 +184,11 @@ class Decoder(ABC):
     #: (subclasses set it when the code geometry is known at build time).
     syndrome_length: int | None = None
 
+    #: Decodes that degraded off the decoder's normal path (for example
+    #: MWPM's sparse engine re-decoding densely); the supervised runner,
+    #: ``repro ler`` and the headline report's WARN lines surface it.
+    fallback_events: int = 0
+
     @abstractmethod
     def decode_active(self, active: list[int]) -> DecodeResult:
         """Decode a syndrome given its non-zero detector indices."""

@@ -1,4 +1,4 @@
-"""SLO-aware decoder cascade: one routing/escalation subsystem.
+"""Decoder cascade: one routing/escalation subsystem.
 
 The paper's architecture is itself a cascade -- a Clique pre-decoder
 handles trivial syndromes, Astrea's search handles the bulk, and exact
@@ -9,12 +9,10 @@ the streaming service's backpressure degradation ladder.  This module is
 the one place that logic now lives:
 
 * :class:`Cascade` routes each row of a syndrome batch through an
-  ordered list of :class:`CascadeTier`\\ s by cheap features (Hamming
-  weight, per-defect cluster locality from
-  :class:`~repro.graphs.decoding_graph.NeighborStructure`), escalating
-  only the rows a tier declines -- or gets wrong per an optional
-  verifier hook -- and counting routed/solved/escalated plus p50/p99
-  solve latency per tier in a shared :class:`CascadeStats`.
+  ordered list of :class:`CascadeTier`\\ s, escalating only the rows a
+  tier declines or leaves unsolved, and counting
+  routed/declined/solved/escalated plus p50/p99 solve latency per tier
+  in a shared :class:`CascadeStats`.
 * :class:`CascadeDecoder` is the registry-native decoder built on it:
   a closed-form front tier that is *bit-identical* to the sparse exact
   engine on the rows it accepts, backstopped by full
@@ -23,9 +21,6 @@ the one place that logic now lives:
   sparse-to-dense anomaly recovery.
 * :class:`TierLadder` is the shed/promote hysteresis the streaming
   service runs its degradation ladder on.
-* :func:`cascade_tune` fits the routing threshold from a sampled
-  syndrome census and emits a picklable :class:`RoutingTable` the
-  pipeline's artifact store caches (``python -m repro cascade-tune``).
 
 Exactness of the front tier: the sparse engine decomposes a syndrome
 into close-connected components and solves singletons and mutual close
@@ -43,7 +38,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,18 +56,11 @@ __all__ = [
     "DecoderTier",
     "EscalationPolicy",
     "PredecodeTier",
-    "RoutingTable",
     "TierLadder",
     "TierOutcome",
     "TierStats",
     "TrivialTier",
-    "cascade_tune",
-    "load_or_tune_routing_table",
 ]
-
-#: Latency samples a tier must accumulate before its latency SLO can
-#: decline rows (p99 over fewer samples is noise, not a signal).
-SLO_MIN_SAMPLES = 32
 
 
 # ----------------------------------------------------------------------
@@ -96,12 +84,9 @@ class TierStats:
     Attributes:
         routed: Rows handed to this tier.
         solved: Rows this tier finalized.
-        declined: Rows the tier's routing (feature gate or latency SLO)
-            passed down without attempting.
-        escalated: Rows the tier attempted but passed down (including
-            verifier rejections).
-        verifier_rejects: Escalations caused by the verifier hook
-            rejecting a produced result.
+        declined: Rows the tier's routing passed down without
+            attempting.
+        escalated: Rows the tier attempted but passed down.
         latency: Amortized per-row attempt wall-clock (seconds).
     """
 
@@ -109,7 +94,6 @@ class TierStats:
     solved: int = 0
     declined: int = 0
     escalated: int = 0
-    verifier_rejects: int = 0
     latency: LatencyRecorder = field(default_factory=_tier_latency)
 
     def as_dict(self) -> dict:
@@ -119,7 +103,6 @@ class TierStats:
             "solved": self.solved,
             "declined": self.declined,
             "escalated": self.escalated,
-            "verifier_rejects": self.verifier_rejects,
             "latency": self.latency.as_dict(),
         }
 
@@ -181,17 +164,10 @@ class CascadeTier:
     * ``name``: stats key of the tier.
     * ``escalation_times_out``: escalating a row marks its final result
       ``timed_out`` (the Clique contract: missing the real-time path).
-    * ``latency_slo_s``: decline whole batches once the tier's observed
-      p99 attempt latency exceeds this bound (None disables).
-    * ``verifier``: optional ``verifier(syndrome_row, result) -> bool``
-      hook; a False verdict discards the tier's result and escalates
-      the row on its *unmodified* syndrome.
     """
 
     name = "tier"
     escalation_times_out = False
-    latency_slo_s: float | None = None
-    verifier: Callable[[np.ndarray, DecodeResult], bool] | None = None
 
     def route(self, syndromes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Bool mask of the rows this tier should attempt."""
@@ -232,21 +208,11 @@ class ClosedFormTier(CascadeTier):
         structure: Neighbor structure of ``gwt`` (full ``close`` /
             ``unsafe`` matrices; the capped kNN lists are not used).
         gwt: The weight table the closed forms read.
-        max_weight: Optional Hamming-weight routing cap (rows heavier
-            than this are declined without attempting) -- the knob
-            :func:`cascade_tune` fits.
     """
 
     name = "closed-form"
 
-    def __init__(
-        self,
-        structure: NeighborStructure,
-        gwt,
-        *,
-        max_weight: int | None = None,
-    ) -> None:
-        self.max_weight = max_weight
+    def __init__(self, structure: NeighborStructure, gwt) -> None:
         self._radii = structure.radii
         self._diag_par = np.diag(gwt.parities).copy()
         self._pair_w = gwt.weights
@@ -261,11 +227,7 @@ class ClosedFormTier(CascadeTier):
         self.syndrome_length = n
 
     def route(self, syndromes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if not self._finite:
-            return np.zeros(syndromes.shape[0], dtype=bool)
-        if self.max_weight is None:
-            return np.ones(syndromes.shape[0], dtype=bool)
-        return weights <= self.max_weight
+        return np.full(syndromes.shape[0], self._finite, dtype=bool)
 
     def _classify(self, syndromes: np.ndarray):
         """Per-defect close degree/partner and the per-row accept mask.
@@ -321,12 +283,6 @@ class ClosedFormTier(CascadeTier):
             deg[pos] = bdeg
             partner[pos] = bpartner
         return rows, cols, deg, partner, ok
-
-    def local_mask(self, syndromes: np.ndarray) -> np.ndarray:
-        """Rows this tier would solve exactly (ignoring ``max_weight``)."""
-        if not self._finite:
-            return np.zeros(syndromes.shape[0], dtype=bool)
-        return self._classify(syndromes)[4]
 
     def attempt(self, syndromes: np.ndarray) -> TierOutcome:
         num = syndromes.shape[0]
@@ -529,25 +485,9 @@ class PredecodeTier(CascadeTier):
 class DecoderTier(CascadeTier):
     """Wraps any :class:`~repro.decoders.base.Decoder` as a tier."""
 
-    def __init__(
-        self,
-        decoder,
-        *,
-        name: str | None = None,
-        max_weight: int | None = None,
-        latency_slo_s: float | None = None,
-        verifier: Callable[[np.ndarray, DecodeResult], bool] | None = None,
-    ) -> None:
+    def __init__(self, decoder, *, name: str | None = None) -> None:
         self.decoder = decoder
         self.name = name or getattr(decoder, "name", type(decoder).__name__)
-        self.max_weight = max_weight
-        self.latency_slo_s = latency_slo_s
-        self.verifier = verifier
-
-    def route(self, syndromes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if self.max_weight is None:
-            return np.ones(syndromes.shape[0], dtype=bool)
-        return weights <= self.max_weight
 
     def attempt(self, syndromes: np.ndarray) -> TierOutcome:
         return TierOutcome(list(self.decoder.decode_batch(syndromes)))
@@ -563,8 +503,8 @@ class Cascade:
 
     Args:
         tiers: Tier list, cheapest first; the last tier is *terminal*
-            and must solve every row that reaches it (its routing gate,
-            latency SLO and verifier are not consulted).
+            and must solve every row that reaches it (its routing gate
+            is not consulted).
         stats: Shared :class:`CascadeStats` (created when None).
     """
 
@@ -605,14 +545,6 @@ class Cascade:
             weights = current.sum(axis=1)
             if terminal:
                 mask = np.ones(pending.size, dtype=bool)
-            elif (
-                tier.latency_slo_s is not None
-                and stats.latency.count >= SLO_MIN_SAMPLES
-                and stats.latency.p99 > tier.latency_slo_s
-            ):
-                # The tier is blowing its latency SLO: decline whole
-                # batches until its observed p99 recovers.
-                mask = np.zeros(pending.size, dtype=bool)
             else:
                 mask = np.asarray(tier.route(current, weights), dtype=bool)
             stats.declined += int(pending.size - mask.sum())
@@ -632,12 +564,11 @@ class Cascade:
                         f"{len(outcome.results)} results for "
                         f"{attempted.size} rows"
                     )
-                # Fast path: no verifier and no escalation state to merge
-                # means a solved row's result is final as-is, so the only
-                # per-row work is slotting it home.
+                # Fast path: no escalation state to merge means a solved
+                # row's result is final as-is, so the only per-row work is
+                # slotting it home.
                 if (
-                    tier.verifier is None
-                    and outcome.partial is None
+                    outcome.partial is None
                     and outcome.residual is None
                     and not tier.escalation_times_out
                     and not part_pairs
@@ -698,17 +629,6 @@ class Cascade:
                             replaced[lane] = outcome.residual[k]
                         if tier.escalation_times_out:
                             timed[orig] = True
-                        continue
-                    if (
-                        not terminal
-                        and tier.verifier is not None
-                        and not tier.verifier(current[lane], res)
-                    ):
-                        # Wrong answer per the hook: drop it and escalate
-                        # the row on its unmodified syndrome.
-                        stats.verifier_rejects += 1
-                        stats.escalated += 1
-                        keep[lane] = True
                         continue
                     stats.solved += 1
                     if part_pred[orig] or orig in part_pairs or timed[orig]:
@@ -855,14 +775,8 @@ class CascadeDecoder(Decoder):
             graph-local engine (exact with the ideal table only).
         structure: Pre-built neighbor structure for ``gwt`` (computed
             when None).
-        max_local_weight: Hamming-weight routing cap of the front tier
-            (None attempts every row; :class:`RoutingTable` supplies a
-            tuned value).
-        routing_table: Tuned :class:`RoutingTable` (overrides
-            ``max_local_weight`` when that is None).
         terminal: Override the terminal decoder (defaults to a fresh
             :class:`~repro.decoders.mwpm.MWPMDecoder`).
-        verifier: Optional verifier hook installed on the front tier.
     """
 
     name = "Cascade"
@@ -873,22 +787,16 @@ class CascadeDecoder(Decoder):
         *,
         graph=None,
         structure: NeighborStructure | None = None,
-        max_local_weight: int | None = None,
-        routing_table: "RoutingTable | None" = None,
         terminal=None,
-        verifier: Callable[[np.ndarray, DecodeResult], bool] | None = None,
     ) -> None:
         from .mwpm import MWPMDecoder  # avoid a module-import cycle
 
-        if routing_table is not None and max_local_weight is None:
-            max_local_weight = routing_table.max_local_weight
         if terminal is None:
             terminal = MWPMDecoder(
                 gwt, graph=graph, measure_time=False, structure=structure
             )
         self.gwt = gwt
         self.terminal = terminal
-        self.routing_table = routing_table
         if gwt is not None:
             if structure is None:
                 structure = NeighborStructure.from_weights(
@@ -896,14 +804,11 @@ class CascadeDecoder(Decoder):
                     gwt.parities,
                     tolerance=default_tolerance(gwt),
                 )
-            front: CascadeTier = ClosedFormTier(
-                structure, gwt, max_weight=max_local_weight
-            )
+            front: CascadeTier = ClosedFormTier(structure, gwt)
             self.syndrome_length = int(gwt.weights.shape[0])
         else:
             front = TrivialTier()
             self.syndrome_length = int(terminal.syndrome_length)
-        front.verifier = verifier
         self._front = front
         self._cascade = Cascade([front, DecoderTier(terminal, name="mwpm")])
         self.stats = self._cascade.stats
@@ -914,6 +819,11 @@ class CascadeDecoder(Decoder):
     def escalation_rate(self) -> float:
         """Fraction of routed rows that reached the terminal tier."""
         return self.stats.escalation_rate
+
+    @property
+    def fallback_events(self) -> int:
+        """The terminal decoder's degraded decodes."""
+        return self.terminal.fallback_events
 
     def decode_active(self, active: list[int]) -> DecodeResult:
         syndrome = np.zeros((1, self.syndrome_length), dtype=bool)
@@ -928,163 +838,3 @@ class CascadeDecoder(Decoder):
         results, tiers = self._cascade.run(syndromes)
         self.last_tiers = tiers
         return results
-
-
-# ----------------------------------------------------------------------
-# Calibration auto-tuner
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoutingTable:
-    """Tuned cascade routing thresholds, picklable and cacheable.
-
-    Produced by :func:`cascade_tune` from a sampled syndrome census;
-    cached in the pipeline's artifact store under the setup fingerprint
-    (stage ``"routing_table"``).
-
-    Attributes:
-        distance: Code distance of the tuning census.
-        physical_error_rate: Physical error rate of the tuning census.
-        shots: Census size.
-        seed: Census sampling seed.
-        max_local_weight: Fitted front-tier Hamming-weight cap.
-        local_fraction: Census fraction the front tier solves under the
-            fitted cap.
-        escalation_rate: Census fraction escalating under the fitted cap.
-        accept_weights: Observed Hamming weights, ascending.
-        accept_fractions: Front-tier acceptance fraction per observed
-            weight (aligned with ``accept_weights``).
-    """
-
-    distance: int
-    physical_error_rate: float
-    shots: int
-    seed: int
-    max_local_weight: int
-    local_fraction: float
-    escalation_rate: float
-    accept_weights: tuple[int, ...]
-    accept_fractions: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        """JSON-ready summary."""
-        return {
-            "distance": self.distance,
-            "physical_error_rate": self.physical_error_rate,
-            "shots": self.shots,
-            "seed": self.seed,
-            "max_local_weight": self.max_local_weight,
-            "local_fraction": self.local_fraction,
-            "escalation_rate": self.escalation_rate,
-            "accept_weights": list(self.accept_weights),
-            "accept_fractions": list(self.accept_fractions),
-        }
-
-
-#: Routing caps below this are never fitted: weight <= 2 rows are the
-#: overwhelming common case and always worth attempting locally.
-_MIN_LOCAL_WEIGHT = 2
-
-
-def cascade_tune(
-    setup,
-    *,
-    shots: int = 20_000,
-    seed: int = 7,
-    min_accept: float = 0.05,
-) -> RoutingTable:
-    """Fit the front-tier routing cap from a sampled syndrome census.
-
-    Samples ``shots`` syndromes from the setup's experiment, measures
-    the closed-form tier's exact-acceptance fraction at each observed
-    Hamming weight, and sets ``max_local_weight`` to the heaviest weight
-    of the contiguous prefix whose acceptance stays at least
-    ``min_accept`` -- beyond that the tier burns routing work on rows it
-    almost always escalates anyway.
-
-    Args:
-        setup: A built :class:`~repro.experiments.setup.DecodingSetup`
-            (dense weights required).
-        shots: Census size.
-        seed: Census sampling seed.
-        min_accept: Minimum per-weight acceptance fraction kept local.
-
-    Returns:
-        The fitted :class:`RoutingTable`.
-    """
-    from ..sim.pauli_frame import PauliFrameSimulator
-
-    gwt = setup.ideal_gwt
-    structure = setup.neighbor_structure
-    tier = ClosedFormTier(structure, gwt)
-    sim = PauliFrameSimulator(setup.experiment.circuit, seed=seed)
-    syndromes = np.asarray(sim.sample(shots).detectors, dtype=bool)
-    local = tier.local_mask(syndromes)
-    weights = syndromes.sum(axis=1)
-    observed = np.unique(weights)
-    fractions = [
-        float(local[weights == w].mean()) for w in observed.tolist()
-    ]
-    max_local = _MIN_LOCAL_WEIGHT
-    for w, frac in zip(observed.tolist(), fractions):
-        if frac < min_accept and w > _MIN_LOCAL_WEIGHT:
-            break
-        max_local = max(max_local, int(w))
-    routed = local & (weights <= max_local)
-    local_fraction = float(routed.mean()) if len(routed) else 0.0
-    config = setup.config
-    return RoutingTable(
-        distance=int(config.distance),
-        physical_error_rate=float(config.physical_error_rate),
-        shots=int(shots),
-        seed=int(seed),
-        max_local_weight=int(max_local),
-        local_fraction=local_fraction,
-        escalation_rate=1.0 - local_fraction,
-        accept_weights=tuple(int(w) for w in observed.tolist()),
-        accept_fractions=tuple(fractions),
-    )
-
-
-def load_or_tune_routing_table(
-    setup,
-    store=None,
-    *,
-    shots: int = 20_000,
-    seed: int = 7,
-    min_accept: float = 0.05,
-) -> RoutingTable:
-    """Routing table for a setup, cached in the artifact store.
-
-    Loads stage ``"routing_table"`` under the setup fingerprint and
-    re-tunes (then re-saves) when it is missing or was tuned with a
-    different census (``shots``/``seed``).
-
-    Args:
-        setup: A built decoding setup.
-        store: Artifact store (None: the environment default, which may
-            itself be None -- then the table is tuned uncached).
-        shots: Census size (also the cache-validity key).
-        seed: Census seed (also the cache-validity key).
-        min_accept: Minimum per-weight acceptance fraction kept local.
-    """
-    from ..pipeline.artifacts import ArtifactError, default_artifact_store
-
-    if store is None:
-        store = default_artifact_store()
-    if store is not None:
-        try:
-            cached = store.load(setup.fingerprint, "routing_table")
-        except ArtifactError:
-            cached = None
-        if (
-            isinstance(cached, RoutingTable)
-            and cached.shots == shots
-            and cached.seed == seed
-        ):
-            return cached
-    table = cascade_tune(setup, shots=shots, seed=seed, min_accept=min_accept)
-    if store is not None:
-        store.save(setup.fingerprint, "routing_table", table)
-    return table

@@ -70,6 +70,11 @@ class CliqueDecoder(Decoder):
         #: Per-tier routed/solved/escalated/latency counters.
         self.stats = self._cascade.stats
 
+    @property
+    def fallback_events(self) -> int:
+        """The MWPM fallback's degraded decodes."""
+        return self.fallback.fallback_events
+
     def decode_active(self, active: list[int]) -> DecodeResult:
         """Decode locally where unambiguous; fall back to MWPM otherwise."""
         syndrome = np.zeros((1, self.syndrome_length), dtype=bool)

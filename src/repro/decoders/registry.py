@@ -329,8 +329,6 @@ def _make_cascade(
     setup,
     *,
     quantized: bool = False,
-    max_local_weight: int | None = None,
-    routing_table=None,
     gwt=None,
 ):
     from .cascade import CascadeDecoder
@@ -350,13 +348,7 @@ def _make_cascade(
     # Arm the terminal tier's graph-local engine exactly as _make_mwpm
     # does: only against the ideal table, whose entries it re-derives.
     graph = setup.graph if table is getattr(setup, "ideal_gwt", None) else None
-    return CascadeDecoder(
-        table,
-        graph=graph,
-        structure=structure,
-        max_local_weight=max_local_weight,
-        routing_table=routing_table,
-    )
+    return CascadeDecoder(table, graph=graph, structure=structure)
 
 
 def _make_lilliput(setup, *, quantized: bool = False, gwt=None):
@@ -427,7 +419,7 @@ register_decoder(
     "cascade",
     _make_cascade,
     capabilities=("cli", "exact", "software", "cascade", "service-tier"),
-    description="closed-form front tier over exact MWPM (SLO-aware routing)",
+    description="closed-form front tier over exact MWPM",
 )
 register_decoder(
     "lilliput",

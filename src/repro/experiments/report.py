@@ -116,7 +116,7 @@ def run_headline_report(
                 f"the reported rate covers only {run.shots} surviving shots"
             )
     for name, decoder in decoders.items():
-        fallbacks = getattr(decoder, "fallback_events", 0)
+        fallbacks = decoder.fallback_events
         stats = getattr(decoder, "sparse_stats", None)
         if fallbacks:
             breakdown = ""

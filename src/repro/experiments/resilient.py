@@ -337,54 +337,10 @@ def _decode_chunk_tracked(payload) -> tuple[list[DecodeResult], int]:
         # read below observes the same object that decodes.
         decoder = decoder.resolve()
         payload = (decoder, syndromes)
-    before = int(getattr(decoder, "fallback_events", 0) or 0)
+    before = decoder.fallback_events
     results = _decode_chunk(payload)
-    after = int(getattr(decoder, "fallback_events", 0) or 0)
+    after = decoder.fallback_events
     return results, after - before
-
-
-# ----------------------------------------------------------------------
-# Worker supervision (extracted to repro.service.supervisor)
-# ----------------------------------------------------------------------
-
-
-def _supervised_map(
-    worker_fn,
-    payloads,
-    *,
-    phase,
-    workers,
-    chunk_timeout,
-    max_retries,
-    retry_backoff,
-    injector,
-    stats,
-    allow_drop,
-    on_success=None,
-):
-    """Compatibility shim over :func:`repro.service.supervisor.supervised_map`.
-
-    The campaign runner's historical knobs (``max_retries``,
-    ``chunk_timeout``, ``retry_backoff``) map one-to-one onto a
-    :class:`~repro.service.supervisor.RetryPolicy`; behavior is pinned by
-    the existing resilience tests.
-    """
-    policy = RetryPolicy(
-        max_retries=max_retries,
-        backoff=retry_backoff,
-        timeout=chunk_timeout,
-    )
-    return supervised_map(
-        worker_fn,
-        payloads,
-        phase=phase,
-        workers=workers,
-        policy=policy,
-        injector=injector,
-        stats=stats,
-        allow_drop=allow_drop,
-        on_success=on_success,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -403,10 +359,7 @@ def run_memory_experiment_resilient(
     block_shots: int = DEFAULT_BLOCK_SHOTS,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
-    max_retries: int = 3,
-    chunk_timeout: float | None = None,
-    retry_backoff: float = 0.05,
-    policy: RetryPolicy | None = None,
+    policy: RetryPolicy = RetryPolicy(),
     fault_injector=None,
     allow_partial: bool = False,
 ) -> ResilientRunResult:
@@ -440,16 +393,11 @@ def run_memory_experiment_resilient(
             checkpoints; None disables checkpointing.
         resume: Skip chunks already checkpointed by a previous run with
             identical campaign parameters (requires ``checkpoint_dir``).
-        max_retries: Supervised retries per chunk before degrading to the
-            in-process serial fallback.
-        chunk_timeout: Seconds before a running chunk attempt is declared
-            hung and its worker reclaimed (None disables).
-        retry_backoff: Base of the exponential backoff between retries of
-            the same chunk, in seconds.
-        policy: A :class:`~repro.service.supervisor.RetryPolicy` bundling
-            the three knobs above (the same object the streaming decode
-            service is configured with); when given it takes precedence
-            over ``max_retries``/``chunk_timeout``/``retry_backoff``.
+        policy: The :class:`~repro.service.supervisor.RetryPolicy` (the
+            same object the streaming decode service is configured with):
+            supervised retries per chunk before degrading to the
+            in-process serial fallback, their exponential backoff, and
+            the per-chunk hang timeout.
         fault_injector: Optional deterministic
             :class:`~repro.testing.faults.FaultInjector` (used by tests,
             the resilience bench and the CI smoke job).
@@ -474,19 +422,8 @@ def run_memory_experiment_resilient(
         raise ValueError("workers must be >= 1")
     if block_shots < 1:
         raise ValueError("block_shots must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
-    if policy is None:
-        policy = RetryPolicy(
-            max_retries=max_retries,
-            backoff=retry_backoff,
-            timeout=chunk_timeout,
-        )
-    max_retries = policy.max_retries
-    retry_backoff = policy.backoff
-    chunk_timeout = policy.timeout
     stats = RecoveryStats()
     if shots == 0:
         return ResilientRunResult(
@@ -573,14 +510,12 @@ def run_memory_experiment_resilient(
         if censuses[index] is None
     ]
     if sample_payloads:
-        sampled = _supervised_map(
+        sampled = supervised_map(
             _sample_census_chunk,
             sample_payloads,
             phase="sample",
             workers=workers,
-            chunk_timeout=chunk_timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
+            policy=policy,
             injector=fault_injector,
             stats=stats,
             allow_drop=allow_partial,
@@ -596,14 +531,12 @@ def run_memory_experiment_resilient(
         for index, (start, stop) in enumerate(_partition(len(unique), num_chunks))
         if stop > start
     ]
-    decoded = _supervised_map(
+    decoded = supervised_map(
         _decode_chunk_tracked,
         decode_payloads,
         phase="decode",
         workers=workers,
-        chunk_timeout=chunk_timeout,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
+        policy=policy,
         injector=fault_injector,
         stats=stats,
         allow_drop=False,
@@ -649,9 +582,7 @@ def make_resilient_runner(
     chunks_per_worker: int = 1,
     block_shots: int = DEFAULT_BLOCK_SHOTS,
     resume: bool = False,
-    max_retries: int = 3,
-    chunk_timeout: float | None = None,
-    retry_backoff: float = 0.05,
+    policy: RetryPolicy = RetryPolicy(),
     fault_injector=None,
     allow_partial: bool = False,
     recovery_log: list[RecoveryStats] | None = None,
@@ -677,9 +608,7 @@ def make_resilient_runner(
         chunks_per_worker: Chunks per worker.
         block_shots: Shots per sampling block.
         resume: Skip chunks already checkpointed for a point.
-        max_retries: Supervised retries per chunk.
-        chunk_timeout: Per-chunk hang timeout in seconds (None disables).
-        retry_backoff: Base retry backoff in seconds.
+        policy: Per-chunk retry/backoff/timeout policy.
         fault_injector: Optional deterministic fault injector.
         allow_partial: Drop terminally failed chunks instead of raising.
         recovery_log: When given, each point's :class:`RecoveryStats` is
@@ -717,9 +646,7 @@ def make_resilient_runner(
             block_shots=block_shots,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            retry_backoff=retry_backoff,
+            policy=policy,
             fault_injector=fault_injector,
             allow_partial=allow_partial,
         )

@@ -706,10 +706,6 @@ class SparseMatchingEngine:
     # Cluster solving
     # ------------------------------------------------------------------
 
-    def _solve_cluster(self, dets: np.ndarray) -> _ClusterSolution:
-        """Solve (or recall) the matching of one cluster of detectors."""
-        return self._memoized(b"C" + dets.tobytes(), dets, self._compute_cluster)
-
     def _memoized(self, key, dets, compute) -> _ClusterSolution:
         """LRU-cached solve keyed by the cluster's canonical bytes."""
         cached = self._cache.get(key)

@@ -82,7 +82,6 @@ STAGE_FORMAT_VERSIONS: dict[str, int] = {
     "ideal_gwt": 2,
     "neighbor_structure": 1,
     "quantized_neighbor_structure": 1,
-    "routing_table": 1,
 }
 
 #: Environment variable naming a default on-disk artifact store root.
@@ -409,41 +408,6 @@ def _decode_structure(arrays: dict, meta: dict) -> NeighborStructure:
     )
 
 
-def _encode_routing_table(table) -> tuple[dict, dict]:
-    arrays = {
-        "accept_weights": np.asarray(table.accept_weights, dtype=np.int64),
-        "accept_fractions": np.asarray(
-            table.accept_fractions, dtype=np.float64
-        ),
-    }
-    meta = {
-        "distance": table.distance,
-        "physical_error_rate": table.physical_error_rate,
-        "shots": table.shots,
-        "seed": table.seed,
-        "max_local_weight": table.max_local_weight,
-        "local_fraction": table.local_fraction,
-        "escalation_rate": table.escalation_rate,
-    }
-    return arrays, meta
-
-
-def _decode_routing_table(arrays: dict, meta: dict):
-    from ..decoders.cascade import RoutingTable
-
-    return RoutingTable(
-        distance=int(meta["distance"]),
-        physical_error_rate=float(meta["physical_error_rate"]),
-        shots=int(meta["shots"]),
-        seed=int(meta["seed"]),
-        max_local_weight=int(meta["max_local_weight"]),
-        local_fraction=float(meta["local_fraction"]),
-        escalation_rate=float(meta["escalation_rate"]),
-        accept_weights=tuple(int(w) for w in arrays["accept_weights"]),
-        accept_fractions=tuple(float(f) for f in arrays["accept_fractions"]),
-    )
-
-
 #: stage name -> (encode, decode) codec over (arrays, meta) pairs.
 STAGE_CODECS = {
     "dem": (_encode_dem, _decode_dem),
@@ -453,7 +417,6 @@ STAGE_CODECS = {
     "ideal_gwt": (_encode_gwt, _decode_gwt),
     "neighbor_structure": (_encode_structure, _decode_structure),
     "quantized_neighbor_structure": (_encode_structure, _decode_structure),
-    "routing_table": (_encode_routing_table, _decode_routing_table),
 }
 
 

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.decoders.base import DecodeResult, Decoder
+from repro.decoders.base import DecodeResult, Decoder, DecoderFallbackWarning
 from repro.decoders.mwpm import MWPMDecoder
 from repro.experiments.io import CorruptResultError
 from repro.experiments.parallel import (
@@ -31,6 +31,7 @@ from repro.experiments.resilient import (
     run_memory_experiment_resilient,
 )
 from repro.experiments.sweep import ler_vs_distance
+from repro.service import RetryPolicy
 from repro.testing.faults import FaultInjector, InjectedWorkerError, corrupt_file
 
 SHOTS = 3000
@@ -131,7 +132,7 @@ class TestInjectedFaults:
         injector = FaultInjector(hangs={("sample", 1): 1}, hang_seconds=60.0)
         outcome = _run(
             setup_d3, decoder, workers=2, fault_injector=injector,
-            chunk_timeout=1.0,
+            policy=RetryPolicy(timeout=1.0),
         )
         assert outcome.result == baseline
         assert outcome.recovery.hangs == 1
@@ -163,7 +164,7 @@ class TestInjectedFaults:
         injector = FaultInjector(crashes={("sample", 0): 2})
         outcome = _run(
             setup_d3, decoder, workers=2, fault_injector=injector,
-            max_retries=1,
+            policy=RetryPolicy(max_retries=1),
         )
         assert outcome.result == baseline
         assert outcome.recovery.serial_fallbacks == 1
@@ -175,14 +176,15 @@ class TestInjectedFaults:
         with pytest.raises(RuntimeError, match="chunk 0"):
             _run(
                 setup_d3, decoder, workers=1, fault_injector=injector,
-                max_retries=1,
+                policy=RetryPolicy(max_retries=1),
             )
 
     def test_allow_partial_drops_and_reports(self, setup_d3, decoder, baseline):
         injector = FaultInjector(errors={("sample", 0): 99})
         outcome = _run(
             setup_d3, decoder, workers=1, chunks_per_worker=4,
-            fault_injector=injector, max_retries=0, allow_partial=True,
+            fault_injector=injector, policy=RetryPolicy(max_retries=0),
+            allow_partial=True,
         )
         assert outcome.recovery.dropped_chunks == 1
         assert outcome.result.dropped_chunks == 1
@@ -363,6 +365,7 @@ sys.path.insert(0, {repr(os.path.join(os.path.dirname(__file__), os.pardir, "src
 from repro.decoders.mwpm import MWPMDecoder
 from repro.experiments.setup import DecodingSetup
 from repro.experiments.resilient import run_memory_experiment_resilient
+from repro.service import RetryPolicy
 from repro.testing.faults import FaultInjector
 
 setup = DecodingSetup.build(3, 1e-3)
@@ -371,7 +374,7 @@ injector = FaultInjector(hangs={{("sample", 3): 99}}, hang_seconds=600.0)
 run_memory_experiment_resilient(
     setup.experiment, decoder, {SHOTS}, seed={SEED}, block_shots={BLOCK},
     workers=2, chunks_per_worker=2, checkpoint_dir={repr(str(tmp_path))},
-    fault_injector=injector, max_retries=0,
+    fault_injector=injector, policy=RetryPolicy(max_retries=0),
 )
 """
         child = subprocess.Popen(
@@ -521,6 +524,25 @@ class TestDecoderFallbackReporting:
             == outcome.result.unique_syndromes
         )
 
+    @pytest.mark.parametrize("name", ["mwpm", "cascade", "clique"])
+    def test_wrapped_mwpm_degradations_reach_recovery_stats(self, name):
+        """A cascade or Clique reports its inner MWPM's degradations.
+
+        At d = 5, p = 5e-3 on the quantized table this census holds a
+        syndrome the sparse engine cannot certify, so MWPM re-decodes it
+        densely; the wrappers must surface that count, not hide it.
+        """
+        from repro.decoders.registry import make_decoder
+        from repro.experiments.setup import DecodingSetup
+
+        setup = DecodingSetup.build(5, 5e-3)
+        decoder = make_decoder(name, setup, quantized=True)
+        with pytest.warns(DecoderFallbackWarning):
+            outcome = run_memory_experiment_resilient(
+                setup.experiment, decoder, 20_000, seed=3, workers=1
+            )
+        assert outcome.recovery.decoder_fallbacks >= 1
+
 
 class TestFaultInjectorSemantics:
     def test_armed_window_is_first_n_attempts(self):
@@ -532,47 +554,3 @@ class TestFaultInjectorSemantics:
         injector.maybe_fault("sample", 0, 2, in_worker=False)
         injector.maybe_fault("decode", 0, 0, in_worker=False)
         injector.maybe_fault("sample", 1, 0, in_worker=False)
-
-
-class TestRetryPolicySeam:
-    """The campaign knobs and the shared RetryPolicy are one mechanism."""
-
-    def test_policy_object_equivalent_to_knobs(self, setup_d3, decoder, baseline):
-        from repro.service import RetryPolicy
-
-        injector = FaultInjector(errors={("decode", 0): 2})
-        via_knobs = _run(
-            setup_d3,
-            decoder,
-            workers=2,
-            max_retries=3,
-            retry_backoff=0.01,
-            fault_injector=injector,
-        )
-        via_policy = _run(
-            setup_d3,
-            decoder,
-            workers=2,
-            policy=RetryPolicy(max_retries=3, backoff=0.01),
-            fault_injector=FaultInjector(errors={("decode", 0): 2}),
-        )
-        assert via_policy.result == baseline
-        assert via_knobs.result == baseline
-        assert via_policy.recovery.worker_errors == via_knobs.recovery.worker_errors
-        assert via_policy.recovery.retries == via_knobs.recovery.retries
-
-    def test_policy_overrides_legacy_knobs(self, setup_d3, decoder, baseline):
-        from repro.service import RetryPolicy
-
-        # max_retries=0 would make the injected double-error terminal in
-        # parallel mode; the policy's max_retries=3 must win.
-        outcome = _run(
-            setup_d3,
-            decoder,
-            workers=2,
-            max_retries=0,
-            policy=RetryPolicy(max_retries=3, backoff=0.01),
-            fault_injector=FaultInjector(errors={("decode", 0): 2}),
-        )
-        assert outcome.result == baseline
-        assert outcome.recovery.retries >= 1
